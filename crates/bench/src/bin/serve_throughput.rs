@@ -59,12 +59,12 @@
 //! recorded speedup is the noise floor the "throughput unchanged"
 //! claim is judged against.
 //!
-//! The **lane_sweep** scenario validates the layout thresholds behind
-//! that plan: for each family it forces member-major and slot-major
+//! The **lane_sweep** scenario validates the slot-major threshold
+//! behind that plan: for each expensive family it times slot-major
 //! lanes across widths 1–1024 (straddling `SLOT_MAJOR_MIN_WIDTH`
 //! with width−1/width/width+1 cells) against a scalar reference fleet,
 //! records per-width speedups plus the layout the plan would choose,
-//! and exits non-zero if any layout moves a single bit.
+//! and exits non-zero if a lane moves a single bit.
 //!
 //! Knobs: `FORECO_SERVE_SESSIONS` (default 1024),
 //! `FORECO_SERVE_CYCLES` (replay length, default 1),
@@ -81,7 +81,7 @@
 //! `FORECO_SERVE_BATCH_SESSIONS` (batched-lane fleet size, default 256),
 //! `FORECO_SERVE_BATCH_ROUNDS` (measured miss rounds, default 400),
 //! `FORECO_SERVE_SWEEP_WIDTHS` (lane_sweep width list, default
-//! `1,2,4,8,16,31,32,33,64,128,256,512,1024`),
+//! `1,2,4,7,8,9,16,32,64,128,256,512,1024`),
 //! `FORECO_SERVE_SWEEP_TICKS` (target miss ticks per lane_sweep cell,
 //! default 16384 — rounds scale inversely with width),
 //! `FORECO_SERVE_HOTPATH_TICKS` (measured hot-path ticks, default 200000),
@@ -333,16 +333,14 @@ struct LaneSweepRow {
     forecaster: String,
     /// Lane width (engines sharing the forecaster).
     width: usize,
-    /// The layout this row forced and measured.
-    layout: String,
     /// The layout [`foreco_forecast::plan_layout`] would choose at
     /// this width — the threshold this sweep exists to validate.
     chosen: String,
     /// Measured miss ticks per path (rounds × width).
     ticks: u64,
     scalar_ns_per_tick: f64,
-    layout_ns_per_tick: f64,
-    /// Scalar ns/tick ÷ forced-layout ns/tick.
+    slot_major_ns_per_tick: f64,
+    /// Scalar ns/tick ÷ slot-major ns/tick.
     speedup_vs_scalar: f64,
     /// Every miss tick's forecast matched the scalar path bit for bit.
     bit_identical: bool,
@@ -417,9 +415,11 @@ fn calibration_run(iterations: u64) -> CalibrationRow {
 /// deliver/miss cadence; the miss ticks are timed per path (scalar
 /// `tick_into(None)` vs lane gather → one `run_layout` sweep →
 /// `tick_miss_prepared`) and every forecast is compared bit for bit.
-/// With `LaneLayout::Scalar` the second fleet re-times the scalar path
-/// with no gather at all — exactly what the serve planner does with
-/// cheap families, so the recorded "speedup" is the noise floor.
+/// Cheap families re-time the scalar path with no gather at all —
+/// exactly what the serve planner does with them, so the recorded
+/// "speedup" is the noise floor. Expensive families always gather,
+/// as the planner does, and then run `layout` (a narrow lane's Scalar
+/// verdict forecasts member by member inside the lane).
 fn lane_measure(
     forecaster: &SharedForecaster,
     fx: &Fixture,
@@ -429,7 +429,7 @@ fn lane_measure(
     layout: foreco_forecast::LaneLayout,
 ) -> (u64, f64, f64, bool) {
     use foreco_core::RecoveryEngine;
-    use foreco_forecast::{BatchLane, ForecastScratch, Forecaster, LaneLayout};
+    use foreco_forecast::{BatchLane, ForecastScratch, Forecaster};
 
     let dof = fx.model.dof();
     let build_fleet = || -> Vec<RecoveryEngine> {
@@ -476,11 +476,11 @@ fn lane_measure(
         }
         scalar_wall += t0.elapsed();
 
-        // Timed miss tick, lane path. Scalar layout = no gather: the
+        // Timed miss tick, lane path. Cheap family = no gather: the
         // fleet keeps its per-engine dispatch, as in the serve planner.
         let t0 = Instant::now();
-        match layout {
-            LaneLayout::Scalar => {
+        match forecaster.cost_class() {
+            CostClass::Cheap => {
                 for (i, e) in batched.iter_mut().enumerate() {
                     e.tick_into(None, &mut out_b);
                     bit_identical &= mismatch_scratch[i * dof..(i + 1) * dof]
@@ -489,7 +489,7 @@ fn lane_measure(
                         .all(|(&bits, v)| bits == v.to_bits());
                 }
             }
-            _ => {
+            CostClass::Expensive => {
                 lane.clear();
                 for e in &batched {
                     lane.push_window(&e.history_view());
@@ -544,7 +544,7 @@ fn batched_run(
     }
 }
 
-/// One lane_sweep cell: a forced layout at a fixed width, plus the
+/// One lane_sweep cell: a slot-major lane at a fixed width, plus the
 /// layout the plan would have chosen there.
 fn lane_sweep_run(
     name: &str,
@@ -553,21 +553,19 @@ fn lane_sweep_run(
     replay: &[Vec<f64>],
     width: usize,
     rounds: usize,
-    layout: foreco_forecast::LaneLayout,
 ) -> LaneSweepRow {
     use foreco_forecast::{plan_layout, Forecaster};
     let chosen = plan_layout(forecaster.cost_class(), width);
-    let (ticks, scalar_ns, layout_ns, bit_identical) =
-        lane_measure(forecaster, fx, replay, width, rounds, layout);
+    let (ticks, scalar_ns, slot_major_ns, bit_identical) =
+        lane_measure(forecaster, fx, replay, width, rounds, LaneLayout::SlotMajor);
     LaneSweepRow {
         forecaster: name.to_string(),
         width,
-        layout: format!("{layout:?}"),
         chosen: format!("{chosen:?}"),
         ticks,
         scalar_ns_per_tick: scalar_ns,
-        layout_ns_per_tick: layout_ns,
-        speedup_vs_scalar: scalar_ns / layout_ns,
+        slot_major_ns_per_tick: slot_major_ns,
+        speedup_vs_scalar: scalar_ns / slot_major_ns,
         bit_identical,
     }
 }
@@ -726,25 +724,35 @@ fn idle_heavy_run(
     let wall_s = started.elapsed().as_secs_f64();
 
     // Tear down: close everyone (waking the parked fleet), drain all
-    // reports.
+    // reports. A close that races a balancer migration reaches a shard
+    // that no longer owns the session and comes back as
+    // `UnknownSession`; it is sent again (the routing table has moved
+    // on by then) until the session reports, or teardown would wait
+    // forever on a session nobody closed.
     let mut total_session_ticks = 0u64;
     let mut completed = drained;
+    let mut reported = vec![false; sessions as usize];
+    let mut teardown_event = |e: foreco_serve::SessionEvent| match e {
+        foreco_serve::SessionEvent::Completed { id, report } => {
+            total_session_ticks += report.ticks;
+            reported[id as usize] = true;
+            1
+        }
+        foreco_serve::SessionEvent::UnknownSession { id } if !reported[id as usize] => {
+            handle.close(id).expect("close session");
+            0
+        }
+        _ => 0,
+    };
     for id in 0..sessions {
         handle.close(id).expect("close session");
         while let EventWait::Event(e) = service.next_event_timeout(Duration::ZERO) {
-            if let foreco_serve::SessionEvent::Completed { report, .. } = e {
-                total_session_ticks += report.ticks;
-                completed += 1;
-            }
+            completed += teardown_event(e);
         }
     }
     while completed < sessions {
         match service.next_event() {
-            Some(foreco_serve::SessionEvent::Completed { report, .. }) => {
-                total_session_ticks += report.ticks;
-                completed += 1;
-            }
-            Some(_) => {}
+            Some(e) => completed += teardown_event(e),
             None => panic!("service died before every report"),
         }
     }
@@ -1429,26 +1437,19 @@ fn main() {
 
     // ---- lane_sweep: layout speedup vs width, the threshold evidence ----
     let sweep_widths: Vec<usize> = std::env::var("FORECO_SERVE_SWEEP_WIDTHS")
-        .unwrap_or_else(|_| "1,2,4,8,16,31,32,33,64,128,256,512,1024".to_string())
+        .unwrap_or_else(|_| "1,2,4,7,8,9,16,32,64,128,256,512,1024".to_string())
         .split(',')
         .filter_map(|s| s.trim().parse().ok())
         .filter(|&n| n >= 1)
         .collect();
     let sweep_ticks = env_knob("FORECO_SERVE_SWEEP_TICKS", 16_384);
     println!(
-        "\nlane_sweep: forced member-major and slot-major vs scalar across widths \
+        "\nlane_sweep: slot-major vs scalar across widths \
          {sweep_widths:?} (~{sweep_ticks} miss ticks per cell)"
     );
     println!(
-        "{:>10} {:>7} {:>12} {:>12} {:>14} {:>14} {:>9} {:>14}",
-        "forecaster",
-        "width",
-        "layout",
-        "chosen",
-        "scalar ns/t",
-        "layout ns/t",
-        "speedup",
-        "bit-identical"
+        "{:>10} {:>7} {:>12} {:>14} {:>14} {:>9} {:>14}",
+        "forecaster", "width", "chosen", "scalar ns/t", "slot ns/t", "speedup", "bit-identical"
     );
     let mut lane_sweep = Vec::new();
     // Only the expensive families have a slot-major kernel to sweep;
@@ -1459,29 +1460,27 @@ fn main() {
         .filter(|(_, s)| foreco_forecast::Forecaster::cost_class(s) == CostClass::Expensive)
     {
         for &width in &sweep_widths {
-            let rounds = (sweep_ticks / width).clamp(8, 128);
-            for layout in [LaneLayout::MemberMajor, LaneLayout::SlotMajor] {
-                let row = lane_sweep_run(name, shared, &fx, &hot_replay, width, rounds, layout);
-                println!(
-                    "{:>10} {:>7} {:>12} {:>12} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
-                    row.forecaster,
-                    row.width,
-                    row.layout,
-                    row.chosen,
-                    row.scalar_ns_per_tick,
-                    row.layout_ns_per_tick,
-                    row.speedup_vs_scalar,
-                    row.bit_identical
+            // Every cell times ~sweep_ticks miss ticks, however narrow.
+            let rounds = (sweep_ticks / width).max(8);
+            let row = lane_sweep_run(name, shared, &fx, &hot_replay, width, rounds);
+            println!(
+                "{:>10} {:>7} {:>12} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
+                row.forecaster,
+                row.width,
+                row.chosen,
+                row.scalar_ns_per_tick,
+                row.slot_major_ns_per_tick,
+                row.speedup_vs_scalar,
+                row.bit_identical
+            );
+            if !row.bit_identical {
+                eprintln!(
+                    "FAIL: lane_sweep {} width {} diverged from the scalar path",
+                    row.forecaster, row.width
                 );
-                if !row.bit_identical {
-                    eprintln!(
-                        "FAIL: lane_sweep {} width {} layout {} diverged from the scalar path",
-                        row.forecaster, row.width, row.layout
-                    );
-                    std::process::exit(1);
-                }
-                lane_sweep.push(row);
+                std::process::exit(1);
             }
+            lane_sweep.push(row);
         }
     }
 

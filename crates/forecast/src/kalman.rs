@@ -155,33 +155,6 @@ impl Forecaster for KalmanCv {
         }
     }
 
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        _scratch: &mut crate::ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let stride = self.r * self.dims;
-        assert_eq!(
-            windows.len(),
-            members * stride,
-            "Kalman: batch window shape"
-        );
-        assert_eq!(out.len(), members * self.dims, "Kalman: batch output shape");
-        for (w, o) in windows
-            .chunks_exact(stride)
-            .zip(out.chunks_exact_mut(self.dims))
-        {
-            // `chunks_exact(dims)` walks this member's rows oldest-first,
-            // exactly like `window.iter()` in the scalar kernel.
-            for (k, slot) in o.iter_mut().enumerate() {
-                *slot = self.filter_joint_from(w.chunks_exact(self.dims).map(|c| c[k]));
-            }
-        }
-        true
-    }
-
     fn forecast_batch_slots(
         &self,
         members: usize,
@@ -243,7 +216,7 @@ impl Forecaster for KalmanCv {
                     p11[m] = a11 - k1 * a01;
                 }
             }
-            // One-step-ahead prediction, scattered back member-major.
+            // One-step-ahead prediction, scattered back to each member's row.
             for m in 0..members {
                 out[m * d + k] = x0[m] + dt * x1[m];
             }

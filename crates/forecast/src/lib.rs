@@ -96,51 +96,20 @@ pub trait Forecaster: Send + Sync {
         out.copy_from_slice(&pred);
     }
 
-    /// Batched forecast over a structure-of-arrays lane: `members`
-    /// gathered history windows, member-major (`windows[m]` occupies
-    /// `windows[m * history_len() * dims() ..][.. history_len() * dims()]`,
-    /// rows oldest-first), each producing one `dims()`-wide prediction in
-    /// the matching slice of `out`.
-    ///
-    /// Returns `true` when the forecaster ran the batch natively, `false`
-    /// when it has no batched kernel — the caller must then fall back to
-    /// per-member [`Forecaster::forecast_into`] over the same windows
-    /// (see [`BatchLane::run`]), which is bit-identical by construction.
-    ///
-    /// **Contract: bit-identical to the scalar path.** A native
-    /// implementation must perform, for each member independently, the
-    /// exact floating-point operations of `forecast_into` on that
-    /// member's window, in the same order. Members never mix — batching
-    /// wins by amortising dispatch and walking contiguous memory, not by
-    /// reassociating arithmetic. The `batch_identity` proptest suite
-    /// pins this for every batchable family.
-    ///
-    /// # Panics
-    /// Native implementations panic when `windows.len() != members *
-    /// history_len() * dims()` or `out.len() != members * dims()`.
-    fn forecast_batch(
-        &self,
-        members: usize,
-        windows: &[f64],
-        scratch: &mut ForecastScratch,
-        out: &mut [f64],
-    ) -> bool {
-        let _ = (members, windows, scratch, out);
-        false
-    }
-
-    /// Batched forecast over a **slot-major** (transposed) lane:
+    /// Batched forecast over a **slot-major** (transposed) lane of
+    /// `members` gathered history windows:
     /// `slots[(row * dims() + dim) * members + m]` holds member `m`'s
     /// value for coordinate `dim` of history row `row` (rows
     /// oldest-first), so the `members` values of any one slot are
     /// contiguous and a kernel's cross-member inner loop is a unit-
-    /// stride walk the compiler auto-vectorizes. Predictions still land
-    /// member-major in `out`, exactly like [`Forecaster::forecast_batch`].
+    /// stride walk the compiler auto-vectorizes. Member `m`'s
+    /// `dims()`-wide prediction lands in `out[m * dims()..][..dims()]`.
     ///
-    /// Returns `true` when the forecaster ran the slot-major batch
-    /// natively, `false` when it has no such kernel — the caller then
-    /// degrades to the member-major kernel and from there to the
-    /// per-member scalar fallback (see [`BatchLane::run_layout`]).
+    /// Returns `true` when the forecaster ran the batch natively,
+    /// `false` when it has no slot-major kernel — the caller then falls
+    /// back to per-member [`Forecaster::forecast_into`] over the same
+    /// windows (see [`BatchLane::run_layout`]), which is bit-identical
+    /// by construction.
     ///
     /// **Contract: bit-identical to the scalar path.** Cross-member
     /// lanes are independent sequences: for each member the kernel must
@@ -149,7 +118,7 @@ pub trait Forecaster: Send + Sync {
     /// only changes *which member* each innermost iteration touches,
     /// never the order of any one member's arithmetic — which is why
     /// bit-identity is preserved by construction and pinned by the
-    /// `batch_identity` suite across all three [`LaneLayout`]s.
+    /// `batch_identity` suite against the scalar [`LaneLayout`].
     ///
     /// # Panics
     /// Native implementations panic when `slots.len() != members *

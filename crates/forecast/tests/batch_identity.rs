@@ -1,8 +1,8 @@
 //! The batched lane must be **bit-identical** to the scalar path in
-//! *every layout* — `BatchLane::run_layout` per member ≡
-//! `forecast_into` on that member's own history, for member-major,
-//! slot-major (transposed), and the per-member scalar fallback, for
-//! every batchable family. This is the contract that lets the serve
+//! *both layouts* — `BatchLane::run_layout` per member ≡
+//! `forecast_into` on that member's own history, for slot-major
+//! (transposed) and the in-lane per-member scalar path, for every
+//! batchable family. This is the contract that lets the serve
 //! runtime pick layouts per pass for throughput without moving a
 //! single output bit (the same pattern that guarded
 //! `forecast_into ≡ forecast` when the zero-allocation path landed).
@@ -22,21 +22,17 @@
 //! `PROPTEST_CASES=32 cargo test -p foreco-forecast --test batch_identity`
 
 use foreco_forecast::{
-    BatchLane, ForecastScratch, Forecaster, HistoryView, Holt, KalmanCv, LaneLayout, MovingAverage,
-    Var, Varma, SLOT_MAJOR_MIN_WIDTH,
+    plan_layout, BatchLane, ForecastScratch, Forecaster, HistoryView, Holt, KalmanCv, LaneLayout,
+    MovingAverage, Var, Varma, SLOT_MAJOR_MIN_WIDTH,
 };
 use foreco_teleop::{Dataset, Skill};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Every lane layout: the member-major SoA sweep, the slot-major
-/// (transposed) sweep, and the per-member scalar fallback. All three
-/// must move zero bits relative to the scalar path.
-const LAYOUTS: [LaneLayout; 3] = [
-    LaneLayout::MemberMajor,
-    LaneLayout::SlotMajor,
-    LaneLayout::Scalar,
-];
+/// Every lane layout: the slot-major (transposed) sweep and the
+/// in-lane per-member scalar path. Both must move zero bits relative
+/// to the caller's own scalar path.
+const LAYOUTS: [LaneLayout; 2] = [LaneLayout::SlotMajor, LaneLayout::Scalar];
 
 /// One random coordinate: mostly tame magnitudes, with NaN, signed
 /// zeros, and subnormal extremes mixed in at a fixed rate.
@@ -60,7 +56,7 @@ fn lane_windows(members: usize, rows: usize, dims: usize) -> impl Strategy<Value
 /// member's row equals the scalar `forecast_into` on the same history —
 /// with the scalar side viewing the history at a rotating ring split,
 /// so the gathered contiguous copy is also checked against seam views.
-fn assert_lane_layout_matches_scalar(
+fn assert_layout_matches_scalar(
     forecaster: &Arc<dyn Forecaster>,
     windows: &[Vec<f64>],
     layout: LaneLayout,
@@ -103,10 +99,10 @@ fn assert_lane_results_match_scalar(
     }
 }
 
-/// All three layouts of one window set against the scalar path.
+/// Both layouts of one window set against the scalar path.
 fn assert_lane_matches_scalar(forecaster: &Arc<dyn Forecaster>, windows: &[Vec<f64>]) {
     for layout in LAYOUTS {
-        assert_lane_layout_matches_scalar(forecaster, windows, layout);
+        assert_layout_matches_scalar(forecaster, windows, layout);
     }
 }
 
@@ -125,7 +121,7 @@ fn trained_families() -> Vec<Arc<dyn Forecaster>> {
     vec![
         Arc::new(Var::fit(&train, 4, 1e-6).expect("levels VAR")),
         Arc::new(Var::fit_differenced(&train, 4, 1e-6).expect("differenced VAR")),
-        // VARMA has no native batch kernel: the lane's per-member
+        // VARMA has no slot-major kernel: the lane's per-member
         // scalar fallback must engage, bit-identically.
         Arc::new(Varma::fit(&train, 3, 2, 1e-6).expect("VARMA")),
     ]
@@ -256,7 +252,7 @@ fn threshold_straddling_widths_match_scalar() {
 /// buffers (windows, slot transpose, results) are retained — the shard
 /// planner's shape when a lane's width crosses the threshold between
 /// passes. Stale slot-major scratch from a previous wider pass must
-/// never leak into a later pass's results.
+/// never leak into a later narrow pass's results, nor the reverse.
 #[test]
 fn mixed_layout_passes_reuse_one_lane() {
     let f: Arc<dyn Forecaster> = Arc::new(KalmanCv::default_teleop(7, 6));
@@ -264,13 +260,20 @@ fn mixed_layout_passes_reuse_one_lane() {
     let mut scratch = ForecastScratch::new();
     let passes = [
         (SLOT_MAJOR_MIN_WIDTH + 3, LaneLayout::SlotMajor),
-        (5usize, LaneLayout::MemberMajor),
+        (SLOT_MAJOR_MIN_WIDTH - 1, LaneLayout::Scalar),
         (SLOT_MAJOR_MIN_WIDTH, LaneLayout::SlotMajor),
-        (3, LaneLayout::Scalar),
-        (SLOT_MAJOR_MIN_WIDTH - 1, LaneLayout::MemberMajor),
+        (1, LaneLayout::Scalar),
         (2 * SLOT_MAJOR_MIN_WIDTH, LaneLayout::SlotMajor),
+        (SLOT_MAJOR_MIN_WIDTH / 2, LaneLayout::Scalar),
     ];
     for &(members, layout) in &passes {
+        // The passes follow the planner's own verdicts, so they cross
+        // the threshold in both directions.
+        assert_eq!(
+            plan_layout(f.cost_class(), members),
+            layout,
+            "width {members}"
+        );
         let windows = laced_windows(members, f.history_len() + 2, 6);
         lane.clear();
         for flat in &windows {

@@ -200,64 +200,81 @@ fn batched_and_scalar_paths_agree() {
     }
 }
 
-/// The lane layout is a pure throughput concern: the adaptive plan
-/// (the default), forced scalar-fallback lanes, forced member-major,
-/// and forced slot-major must all carry RMSE bits identical to the
-/// batching-off scalar ground truth, at 1, 2, and 8 shards. This is
-/// the service-level half of the `batch_identity` contract — layout
-/// selection may change per pass with lane width and must never be
-/// observable in any session's results.
+/// The lane layout is a pure throughput concern, so it must never be
+/// observable in any session's results. A lockstep-miss fleet — VAR
+/// and Kalman-CV sessions on distinct operator streams that all share
+/// one `ControlledLoss` seed — misses on the same slots in every
+/// session, so each shard gathers per-family lanes of about
+/// `LOCKSTEP / shards` members: wide enough for slot-major at 1 and 2
+/// shards, narrow enough at 8 shards that the same families run the
+/// in-lane scalar path. Every report must carry bits identical to the
+/// batching-off scalar ground truth. This is the service-level half of
+/// the `batch_identity` contract.
 #[test]
-fn every_lane_layout_agrees_at_every_shard_count() {
-    use foreco::forecast::LaneLayout;
+fn slot_major_and_scalar_lanes_agree_at_every_shard_count() {
+    use std::sync::Arc;
 
+    /// Sessions per family.
+    const LOCKSTEP: u64 = 48;
     let model = niryo_one();
-    let var = forecaster();
-    let shared = SharedForecaster::new(var);
+    let var = SharedForecaster::new(forecaster());
+    let kalman = SharedForecaster::new(KalmanCv::default_teleop(7, model.dof()));
+    assert!(
+        LOCKSTEP / 2 >= SLOT_MAJOR_MIN_WIDTH as u64 && LOCKSTEP / 8 < SLOT_MAJOR_MIN_WIDTH as u64,
+        "lanes must straddle the slot-major threshold across 1/2/8 shards"
+    );
+    let replays: Vec<Arc<Vec<Vec<f64>>>> = (0..2 * LOCKSTEP)
+        .map(|id| Arc::new(Dataset::record(Skill::Inexperienced, 1, 0.02, 500 + id).commands))
+        .collect();
     let specs = || -> Vec<SessionSpec> {
-        (0..SESSIONS)
-            .map(|id| spec_for(id, &shared, &model))
+        (0..2 * LOCKSTEP)
+            .map(|id| {
+                let shared = if id % 2 == 0 { &var } else { &kalman };
+                SessionSpec::new(
+                    id,
+                    SourceSpec::Replayed(Arc::clone(&replays[id as usize])),
+                    ChannelSpec::ControlledLoss {
+                        burst_len: 12,
+                        burst_prob: 0.02,
+                        seed: 4_242,
+                    },
+                    RecoverySpec::FoReCo {
+                        forecaster: shared.clone(),
+                        config: RecoveryConfig::for_model(&model),
+                    },
+                )
+            })
             .collect()
     };
     for shards in [1usize, 2, 8] {
-        let ground = Service::spawn(ServiceConfig {
-            batching: false,
-            ..ServiceConfig::with_shards(shards)
-        })
-        .run_to_completion(specs());
-        let rows: [(&str, Option<LaneLayout>); 4] = [
-            ("adaptive", None),
-            ("forced-scalar", Some(LaneLayout::Scalar)),
-            ("forced-member-major", Some(LaneLayout::MemberMajor)),
-            ("forced-slot-major", Some(LaneLayout::SlotMajor)),
-        ];
-        for (label, lane_layout) in rows {
-            let run = Service::spawn(ServiceConfig {
-                batching: true,
-                lane_layout,
+        let run = |batching: bool| {
+            Service::spawn(ServiceConfig {
+                batching,
                 ..ServiceConfig::with_shards(shards)
             })
-            .run_to_completion(specs());
-            for id in 0..SESSIONS {
-                let want = ground.get(id).expect("scalar report");
-                let got = run.get(id).expect("report");
-                assert_eq!(
-                    got.rmse_mm.to_bits(),
-                    want.rmse_mm.to_bits(),
-                    "session {id} rmse not bit-identical ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.max_deviation_mm.to_bits(),
-                    want.max_deviation_mm.to_bits(),
-                    "session {id} max deviation ({label} @ {shards} shards)"
-                );
-                assert_eq!(
-                    got.stats, want.stats,
-                    "session {id} stats ({label} @ {shards} shards)"
-                );
-            }
-            assert_eq!(run.summary(), ground.summary(), "{label} @ {shards} shards");
+            .run_to_completion(specs())
+        };
+        let (ground, batched) = (run(false), run(true));
+        for id in 0..2 * LOCKSTEP {
+            let want = ground.get(id).expect("scalar report");
+            let got = batched.get(id).expect("report");
+            assert!(want.misses > 0, "session {id} never missed");
+            assert_eq!(
+                got.rmse_mm.to_bits(),
+                want.rmse_mm.to_bits(),
+                "session {id} rmse not bit-identical @ {shards} shards"
+            );
+            assert_eq!(
+                got.max_deviation_mm.to_bits(),
+                want.max_deviation_mm.to_bits(),
+                "session {id} max deviation @ {shards} shards"
+            );
+            assert_eq!(
+                got.stats, want.stats,
+                "session {id} stats @ {shards} shards"
+            );
         }
+        assert_eq!(batched.summary(), ground.summary(), "@ {shards} shards");
     }
 }
 
