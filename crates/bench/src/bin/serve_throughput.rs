@@ -1,8 +1,9 @@
 //! Throughput of the `foreco-serve` shard pool: session-ticks per second
-//! swept over shard count × session count, plus the **idle-heavy**
-//! scenario that pins the event-driven scheduler's scaling claim —
-//! written to `BENCH_serve.json` so CI can track the service's perf
-//! trajectory.
+//! swept over shard count, plus the scenarios only this binary measures
+//! — written to `BENCH_serve.json`, which CI gates on. The per-layer
+//! costs (engine tick, allocations per tick, wire decode, ingress,
+//! snapshot codec, store residency) are measured by the `perfbench`
+//! ledger (`--trace 1`), not here.
 //!
 //! One session-tick = one full hosted loop step (reference driver +
 //! impaired driver + recovery engine), so ticks/sec × 1/50 Hz is the
@@ -17,25 +18,12 @@
 //! number against `FORECO_SERVE_WAKEUP_BUDGET` to catch regressions
 //! back to O(total-sessions) sweeps.
 //!
-//! The **ingress** scenario measures the `foreco-net` gateway: the same
-//! teleop frames pushed through the full wire pipeline (codec → reorder
-//! → gated injection) over the in-process loopback transport vs real
-//! localhost UDP, reported as datagrams/sec.
-//!
 //! The **fleet_soak** scenario churns thousands of short-lived sessions
 //! through open → replay → (periodic) snapshot → close on worker
 //! threads while a scraper hits the Prometheus metrics endpoint and a
 //! poll-mode subscriber drains the fleet event feed — the
 //! observability plane exercised *during* churn, with scrape latency
 //! percentiles and event delivery/drop counts recorded.
-//!
-//! The **engine_hot_path** scenario profiles one hosted session's
-//! steady-state tick (source → engine → both PID drivers → metrics) in
-//! isolation: per-tick wall nanoseconds and — through a counting global
-//! allocator — heap allocations per tick, under the replay's hit/miss
-//! mix. Since the flat-ring + `forecast_into` rework the allocs/tick
-//! figure must be ~0 (the `hot_path_allocs` test pins exactly 0 per
-//! steady tick); this row gives the perf trajectory a trend line.
 //!
 //! The **calibration** scenario runs a frozen pure-f64 arithmetic
 //! kernel (see [`calibration_run`]) and reports its iterations/sec —
@@ -46,25 +34,13 @@
 //! instead of an absolute ticks/s constant that only reproduces on the
 //! container it was recorded on.
 //!
-//! The **batched** scenario pits the per-session scalar miss path
-//! (`tick_into(None)`, one virtual dispatch per engine) against the
-//! batched lane in the layout the adaptive plan
-//! ([`foreco_forecast::plan_layout`]) picks for each family at the
-//! fleet width (gather windows → one lane sweep → hand each engine its
-//! row via `tick_miss_prepared`) across a fleet of engines sharing one
-//! forecaster, asserts the outputs are bit-identical, and records
-//! `batched_speedup_vs_scalar` per family. Families whose plan is
-//! Scalar (cheap kernels — MA, Holt) are never gathered in the serve
-//! planner, so their "batched" column re-times the scalar path: the
-//! recorded speedup is the noise floor the "throughput unchanged"
-//! claim is judged against.
-//!
-//! The **lane_sweep** scenario validates the slot-major threshold
-//! behind that plan: for each expensive family it times slot-major
-//! lanes across widths 1–1024 (straddling `SLOT_MAJOR_MIN_WIDTH`
-//! with width−1/width/width+1 cells) against a scalar reference fleet,
-//! records per-width speedups plus the layout the plan would choose,
-//! and exits non-zero if a lane moves a single bit.
+//! The **lane_sweep** scenario validates the slot-major threshold of
+//! the adaptive plan ([`foreco_forecast::plan_layout`]): for each
+//! expensive family it times slot-major lanes across widths 1–1024
+//! (straddling `SLOT_MAJOR_MIN_WIDTH` with width−1/width/width+1
+//! cells) against a scalar reference fleet, records per-width speedups
+//! plus the layout the plan would choose, and exits non-zero if a lane
+//! moves a single bit.
 //!
 //! Knobs: `FORECO_SERVE_SESSIONS` (default 1024),
 //! `FORECO_SERVE_CYCLES` (replay length, default 1),
@@ -78,89 +54,26 @@
 //! `ticks_per_sec` ÷ calibration iterations/sec; shortfall exits
 //! non-zero — the CI regression gate, set to committed-baseline-ratio
 //! × 0.9; recalibration rule in ROADMAP),
-//! `FORECO_SERVE_BATCH_SESSIONS` (batched-lane fleet size, default 256),
-//! `FORECO_SERVE_BATCH_ROUNDS` (measured miss rounds, default 400),
 //! `FORECO_SERVE_SWEEP_WIDTHS` (lane_sweep width list, default
 //! `1,2,4,7,8,9,16,32,64,128,256,512,1024`),
 //! `FORECO_SERVE_SWEEP_TICKS` (target miss ticks per lane_sweep cell,
 //! default 16384 — rounds scale inversely with width),
-//! `FORECO_SERVE_HOTPATH_TICKS` (measured hot-path ticks, default 200000),
-//! `FORECO_SERVE_INGRESS_SESSIONS` (default 16),
-//! `FORECO_SERVE_INGRESS_FRAMES` (per-session datagrams, default 1000),
 //! `FORECO_SERVE_SOAK_SESSIONS` (fleet-soak churn size, default 10000),
 //! `FORECO_SERVE_SOAK_TICKS` (fleet-soak ticks/session, default 32),
-//! `FORECO_SERVE_DEDUP_SESSIONS` (shared-storage fleet size, default 1024),
-//! `FORECO_SERVE_DEDUP_CYCLES` (shared trace length, default 4),
 //! `FORECO_SERVE_OUT` (output path, default `BENCH_serve.json`).
-//!
-//! The **bytes_per_session** scenario measures the `foreco-store` dedup
-//! win: a fleet of scripted sessions all replaying one trace, reported
-//! as resident source bytes/session (private copies vs store claims)
-//! and bulk checkpoint bytes/session (self-contained snapshots vs one
-//! deduplicated `FleetArchive`), plus the proof that sessions adopted
-//! out of the archive into a fresh service finish **bit-identically**
-//! to their donors (divergence exits non-zero).
+//! A set but malformed numeric knob exits non-zero and names the knob.
 
-use foreco_bench::{banner, env_knob, Fixture};
+use foreco_bench::{banner, env_knob, env_list_knob, Fixture};
 use foreco_core::RecoveryConfig;
-use foreco_forecast::{CostClass, Holt, KalmanCv, LaneLayout, MovingAverage};
+use foreco_forecast::{KalmanCv, LaneLayout};
 use foreco_serve::{
-    Advance, BalancerConfig, ChannelSpec, EventWait, RecoverySpec, Scheduler, Service,
-    ServiceConfig, Session, SessionSnapshot, SessionSpec, SharedForecaster, SourceSpec,
+    BalancerConfig, ChannelSpec, EventWait, RecoverySpec, Scheduler, Service, ServiceConfig,
+    SessionSpec, SharedForecaster, SourceSpec,
 };
 use foreco_teleop::{Dataset, Skill};
 use serde::Serialize;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// System allocator with per-thread allocation and net-byte counters,
-/// so the hot-path scenario can report allocs/tick alongside ns/tick
-/// and the dedup scenario can report resident source bytes.
-struct CountingAllocator;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static THREAD_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Net heap bytes allocated by the calling thread (allocs − frees).
-fn thread_bytes() -> i64 {
-    THREAD_BYTES.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + layout.size() as i64));
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + layout.size() as i64));
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + new_size as i64 - layout.size() as i64));
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = THREAD_BYTES.try_with(|c| c.set(c.get() - layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[derive(Serialize)]
 struct Row {
@@ -196,18 +109,6 @@ struct IdleRow {
     total_session_ticks: u64,
 }
 
-#[derive(Serialize)]
-struct IngressRow {
-    transport: String,
-    sessions: u64,
-    frames_per_session: usize,
-    datagrams: u64,
-    wall_s: f64,
-    datagrams_per_sec: f64,
-    delivered: u64,
-    lost: u64,
-}
-
 /// The fleet-soak scenario: thousands of sessions churned through
 /// open → replay → (periodic) snapshot → close while the metrics
 /// endpoint is scraped live and an event subscriber drinks the fleet's
@@ -236,71 +137,6 @@ struct FleetSoakRow {
 }
 
 #[derive(Serialize)]
-struct HotPathRow {
-    forecaster: String,
-    /// Measured steady-state ticks (warmup excluded).
-    ticks: u64,
-    /// Misses across the full sessions (the hit/miss mix context).
-    misses: u64,
-    miss_fraction: f64,
-    wall_s: f64,
-    ns_per_tick: f64,
-    ticks_per_sec: f64,
-    /// Heap allocations per measured tick (counting allocator) — ~0
-    /// since the flat-ring engine rework.
-    allocs_per_tick: f64,
-}
-
-#[derive(Serialize)]
-struct BytesRow {
-    sessions: u64,
-    trace_commands: usize,
-    /// Net heap bytes to hold the fleet's command sources with one
-    /// private trace copy per session (the pre-store layout).
-    naive_source_bytes: i64,
-    /// Same fleet's sources as store claims on one resident trace.
-    stored_source_bytes: i64,
-    naive_source_bytes_per_session: f64,
-    stored_source_bytes_per_session: f64,
-    resident_reduction: f64,
-    /// Σ of per-session self-contained snapshot bytes (each one
-    /// materialising the full trace) — the pre-archive checkpoint cost.
-    inline_archive_bytes: u64,
-    /// One `FleetArchive`: the trace once, sessions by reference.
-    dedup_archive_bytes: u64,
-    inline_archive_bytes_per_session: f64,
-    dedup_archive_bytes_per_session: f64,
-    archive_reduction: f64,
-    /// Every adopted session's final report matched its donor bit for
-    /// bit (ticks, misses, RMSE bits, max-deviation bits).
-    restored_bit_identical: bool,
-}
-
-/// The snapshot-churn scenario row: encode+decode throughput and
-/// bytes/session for the same donor fleet through both live codecs —
-/// the legacy JSON v2 document and the v3 binary frame (shard-style
-/// reusable scratch). The ratio is the number the v3 rework claims.
-#[derive(Serialize)]
-struct SnapshotChurnRow {
-    sessions: u64,
-    /// Encode+decode passes over the whole donor fleet per codec.
-    rounds: usize,
-    json_wall_s: f64,
-    json_sessions_per_sec: f64,
-    json_bytes_per_session: f64,
-    binary_wall_s: f64,
-    binary_sessions_per_sec: f64,
-    binary_bytes_per_session: f64,
-    /// Binary sessions/s ÷ JSON sessions/s over the same donors.
-    codec_speedup: f64,
-    /// JSON bytes/session ÷ binary bytes/session.
-    bytes_reduction: f64,
-    /// Every binary round-trip reproduced its donor exactly (struct
-    /// equality — every f64 bit), checked outside the timed loops.
-    decode_exact: bool,
-}
-
-#[derive(Serialize)]
 struct CalibrationRow {
     /// Fixed iteration count of the frozen kernel.
     iterations: u64,
@@ -308,24 +144,6 @@ struct CalibrationRow {
     /// This container's scalar-f64 speed — the denominator of the
     /// relative perf gate.
     iterations_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct BatchedRow {
-    forecaster: String,
-    /// Engines sharing the lane's forecaster.
-    lane_sessions: usize,
-    /// The layout the adaptive plan picked for this family at this
-    /// width ("Scalar" = the serve planner never gathers the family).
-    layout: String,
-    /// Measured miss ticks per path (rounds × lane_sessions).
-    ticks: u64,
-    scalar_ns_per_tick: f64,
-    batched_ns_per_tick: f64,
-    /// Scalar ns/tick ÷ batched ns/tick over the same miss ticks.
-    batched_speedup_vs_scalar: f64,
-    /// Every miss tick's forecast matched the scalar path bit for bit.
-    bit_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -364,14 +182,9 @@ struct Output {
     /// dimensionless number the CI gate bounds.
     engine_vs_calibration_ratio: f64,
     rows: Vec<Row>,
-    engine_hot_path: Vec<HotPathRow>,
-    batched: Vec<BatchedRow>,
     lane_sweep: Vec<LaneSweepRow>,
     idle_heavy: Vec<IdleRow>,
-    ingress: Vec<IngressRow>,
     fleet_soak: FleetSoakRow,
-    bytes_per_session: BytesRow,
-    snapshot_churn: SnapshotChurnRow,
 }
 
 /// The frozen calibration kernel: a fixed-length pure-f64 arithmetic
@@ -410,30 +223,27 @@ fn calibration_run(iterations: u64) -> CalibrationRow {
     }
 }
 
-/// One lane-vs-scalar measurement: two identically-warmed fleets of
+/// One lane_sweep cell: two identically-warmed fleets of `width`
 /// recovery engines sharing one forecaster march through the same
 /// deliver/miss cadence; the miss ticks are timed per path (scalar
-/// `tick_into(None)` vs lane gather → one `run_layout` sweep →
-/// `tick_miss_prepared`) and every forecast is compared bit for bit.
-/// Cheap families re-time the scalar path with no gather at all —
-/// exactly what the serve planner does with them, so the recorded
-/// "speedup" is the noise floor. Expensive families always gather,
-/// as the planner does, and then run `layout` (a narrow lane's Scalar
-/// verdict forecasts member by member inside the lane).
-fn lane_measure(
+/// `tick_into(None)` vs lane gather → one slot-major `run_layout`
+/// sweep → `tick_miss_prepared`) and every forecast is compared bit
+/// for bit. The row also records the layout the plan would choose at
+/// this width.
+fn lane_sweep_run(
+    name: &str,
     forecaster: &SharedForecaster,
     fx: &Fixture,
     replay: &[Vec<f64>],
-    lane_sessions: usize,
+    width: usize,
     rounds: usize,
-    layout: foreco_forecast::LaneLayout,
-) -> (u64, f64, f64, bool) {
+) -> LaneSweepRow {
     use foreco_core::RecoveryEngine;
-    use foreco_forecast::{BatchLane, ForecastScratch, Forecaster};
+    use foreco_forecast::{plan_layout, BatchLane, ForecastScratch, Forecaster};
 
     let dof = fx.model.dof();
     let build_fleet = || -> Vec<RecoveryEngine> {
-        (0..lane_sessions)
+        (0..width)
             .map(|_| {
                 RecoveryEngine::new(
                     Box::new(forecaster.clone()),
@@ -461,7 +271,7 @@ fn lane_measure(
     let mut bit_identical = true;
     let mut scalar_wall = Duration::ZERO;
     let mut batched_wall = Duration::ZERO;
-    let mut mismatch_scratch = vec![0u64; lane_sessions * dof];
+    let mut mismatch_scratch = vec![0u64; width * dof];
     for round in 0..rounds {
         // Timed miss tick, scalar path: one virtual dispatch per engine.
         let t0 = Instant::now();
@@ -476,33 +286,19 @@ fn lane_measure(
         }
         scalar_wall += t0.elapsed();
 
-        // Timed miss tick, lane path. Cheap family = no gather: the
-        // fleet keeps its per-engine dispatch, as in the serve planner.
+        // Timed miss tick, lane path.
         let t0 = Instant::now();
-        match forecaster.cost_class() {
-            CostClass::Cheap => {
-                for (i, e) in batched.iter_mut().enumerate() {
-                    e.tick_into(None, &mut out_b);
-                    bit_identical &= mismatch_scratch[i * dof..(i + 1) * dof]
-                        .iter()
-                        .zip(&out_b)
-                        .all(|(&bits, v)| bits == v.to_bits());
-                }
-            }
-            CostClass::Expensive => {
-                lane.clear();
-                for e in &batched {
-                    lane.push_window(&e.history_view());
-                }
-                lane.run_layout(layout, &mut scratch);
-                for (i, e) in batched.iter_mut().enumerate() {
-                    e.tick_miss_prepared(lane.result(i), &mut out_b);
-                    bit_identical &= mismatch_scratch[i * dof..(i + 1) * dof]
-                        .iter()
-                        .zip(&out_b)
-                        .all(|(&bits, v)| bits == v.to_bits());
-                }
-            }
+        lane.clear();
+        for e in &batched {
+            lane.push_window(&e.history_view());
+        }
+        lane.run_layout(LaneLayout::SlotMajor, &mut scratch);
+        for (i, e) in batched.iter_mut().enumerate() {
+            e.tick_miss_prepared(lane.result(i), &mut out_b);
+            bit_identical &= mismatch_scratch[i * dof..(i + 1) * dof]
+                .iter()
+                .zip(&out_b)
+                .all(|(&bits, v)| bits == v.to_bits());
         }
         batched_wall += t0.elapsed();
 
@@ -512,124 +308,18 @@ fn lane_measure(
             e.tick_into(Some(&cmd), &mut out_a);
         }
     }
-    let ticks = (rounds * lane_sessions) as u64;
+    let ticks = (rounds * width) as u64;
     let scalar_ns = scalar_wall.as_secs_f64() * 1e9 / ticks as f64;
-    let batched_ns = batched_wall.as_secs_f64() * 1e9 / ticks as f64;
-    (ticks, scalar_ns, batched_ns, bit_identical)
-}
-
-/// The batched scenario row for one family: measures the layout the
-/// adaptive plan would actually run at this fleet width.
-fn batched_run(
-    name: &str,
-    forecaster: SharedForecaster,
-    fx: &Fixture,
-    replay: &[Vec<f64>],
-    lane_sessions: usize,
-    rounds: usize,
-) -> BatchedRow {
-    use foreco_forecast::{plan_layout, Forecaster};
-    let layout = plan_layout(forecaster.cost_class(), lane_sessions);
-    let (ticks, scalar_ns, batched_ns, bit_identical) =
-        lane_measure(&forecaster, fx, replay, lane_sessions, rounds, layout);
-    BatchedRow {
-        forecaster: name.to_string(),
-        lane_sessions,
-        layout: format!("{layout:?}"),
-        ticks,
-        scalar_ns_per_tick: scalar_ns,
-        batched_ns_per_tick: batched_ns,
-        batched_speedup_vs_scalar: scalar_ns / batched_ns,
-        bit_identical,
-    }
-}
-
-/// One lane_sweep cell: a slot-major lane at a fixed width, plus the
-/// layout the plan would have chosen there.
-fn lane_sweep_run(
-    name: &str,
-    forecaster: &SharedForecaster,
-    fx: &Fixture,
-    replay: &[Vec<f64>],
-    width: usize,
-    rounds: usize,
-) -> LaneSweepRow {
-    use foreco_forecast::{plan_layout, Forecaster};
-    let chosen = plan_layout(forecaster.cost_class(), width);
-    let (ticks, scalar_ns, slot_major_ns, bit_identical) =
-        lane_measure(forecaster, fx, replay, width, rounds, LaneLayout::SlotMajor);
+    let slot_major_ns = batched_wall.as_secs_f64() * 1e9 / ticks as f64;
     LaneSweepRow {
         forecaster: name.to_string(),
         width,
-        chosen: format!("{chosen:?}"),
+        chosen: format!("{:?}", plan_layout(forecaster.cost_class(), width)),
         ticks,
         scalar_ns_per_tick: scalar_ns,
         slot_major_ns_per_tick: slot_major_ns,
         speedup_vs_scalar: scalar_ns / slot_major_ns,
         bit_identical,
-    }
-}
-
-/// Profiles one hosted session's steady-state tick: ns/tick and
-/// allocs/tick over `target_ticks` measured advances (replay warmup and
-/// session open/teardown excluded from both counters).
-fn engine_hot_path_run(
-    name: &str,
-    forecaster: SharedForecaster,
-    fx: &Fixture,
-    replay: &Arc<Vec<Vec<f64>>>,
-    target_ticks: u64,
-) -> HotPathRow {
-    let len = replay.len() as u64;
-    let warmup = len / 8;
-    let per_rep = len - warmup - 1;
-    let reps = target_ticks.div_ceil(per_rep).max(1);
-    let (mut ticks, mut misses, mut allocs) = (0u64, 0u64, 0u64);
-    let mut wall = Duration::ZERO;
-    for rep in 0..reps {
-        let spec = SessionSpec::new(
-            rep,
-            SourceSpec::Replayed(Arc::clone(replay)),
-            ChannelSpec::ControlledLoss {
-                burst_len: 6,
-                burst_prob: 0.01,
-                seed: 70_000 + rep,
-            },
-            RecoverySpec::FoReCo {
-                forecaster: forecaster.clone(),
-                config: RecoveryConfig::for_model(&fx.model),
-            },
-        );
-        let mut session = Session::open(&spec, &fx.model);
-        for _ in 0..warmup {
-            session.advance();
-        }
-        let a0 = thread_allocs();
-        let t0 = Instant::now();
-        for _ in 0..per_rep {
-            session.advance();
-        }
-        wall += t0.elapsed();
-        allocs += thread_allocs() - a0;
-        ticks += per_rep;
-        // Drain the tail to the report for the miss-mix context.
-        let report = loop {
-            if let Advance::Completed(report) = session.advance() {
-                break report;
-            }
-        };
-        misses += report.misses as u64;
-    }
-    let wall_s = wall.as_secs_f64();
-    HotPathRow {
-        forecaster: name.to_string(),
-        ticks,
-        misses,
-        miss_fraction: misses as f64 / (reps * len) as f64,
-        wall_s,
-        ns_per_tick: wall_s * 1e9 / ticks as f64,
-        ticks_per_sec: ticks as f64 / wall_s,
-        allocs_per_tick: allocs as f64 / ticks as f64,
     }
 }
 
@@ -797,61 +487,12 @@ fn idle_heavy_run(
     }
 }
 
-/// Pushes `frames` datagrams per session through the gateway on one
-/// transport and measures the wire pipeline's throughput.
-fn ingress_run(transport: &str, shards: usize, sessions: u64, trace: &[Vec<f64>]) -> IngressRow {
-    use foreco_net::{ClientConfig, Gateway, GatewayConfig, NetClient, TcpControl, UdpWire};
-
-    let gateway = Gateway::spawn(ServiceConfig::with_shards(shards), GatewayConfig::default())
-        .expect("spawn gateway");
-    let cfg = ClientConfig {
-        window: 64,
-        ..ClientConfig::default()
-    };
-    let started = Instant::now();
-    let (mut delivered, mut lost) = (0u64, 0u64);
-    for id in 0..sessions {
-        let ingress = match transport {
-            "loopback" => {
-                let (data, control) = gateway.loopback();
-                let mut client = NetClient::new(id, data, control);
-                client.open(trace[0].clone(), trace.len()).expect("open");
-                client.replay(trace, 0, &cfg).expect("replay");
-                client.close().expect("close").1
-            }
-            _ => {
-                let data = UdpWire::connect(gateway.udp_addr()).expect("udp");
-                let control = TcpControl::connect(gateway.tcp_addr()).expect("tcp");
-                let mut client = NetClient::new(id, data, control);
-                client.open(trace[0].clone(), trace.len()).expect("open");
-                client.replay(trace, 0, &cfg).expect("replay");
-                client.close().expect("close").1
-            }
-        };
-        delivered += ingress.delivered;
-        lost += ingress.lost;
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-    gateway.shutdown();
-    let datagrams = sessions * trace.len() as u64;
-    IngressRow {
-        transport: transport.to_string(),
-        sessions,
-        frames_per_session: trace.len(),
-        datagrams,
-        wall_s,
-        datagrams_per_sec: datagrams as f64 / wall_s,
-        delivered,
-        lost,
-    }
-}
-
 /// Churns `sessions` short-lived sessions through the gateway on
 /// worker threads while a scraper hammers the Prometheus endpoint and
 /// a poll-mode subscriber drains the fleet event feed — the
 /// observability soak. Loopback transport: the point is control-plane
-/// behaviour under churn, not socket throughput (the ingress scenario
-/// owns that).
+/// behaviour under churn, not socket throughput (perfbench's
+/// `udp_gateway` workload owns that).
 fn fleet_soak_run(shards: usize, sessions: u64, ticks: usize) -> FleetSoakRow {
     use foreco_net::{ClientConfig, ForecoClient, Gateway, GatewayConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -975,280 +616,35 @@ fn fleet_soak_run(shards: usize, sessions: u64, ticks: usize) -> FleetSoakRow {
     }
 }
 
-/// The shared-storage dedup scenario: a fleet of scripted sessions all
-/// replaying one teleop trace, measured three ways — resident source
-/// bytes (private copies vs store claims), bulk checkpoint bytes
-/// (per-session inline snapshots vs one deduplicated `FleetArchive`),
-/// and the determinism proof that every session adopted out of the
-/// archive into a fresh service finishes bit-identically to its donor.
-fn bytes_per_session_run(fx: &Fixture, sessions: u64, cycles: usize) -> BytesRow {
-    use foreco_serve::SessionEvent;
-    use foreco_store::Storage;
-    use std::collections::HashMap;
-
-    let dataset = Dataset::record(Skill::Inexperienced, cycles, 0.02, 8);
-    let trace_commands = dataset.commands.len();
-    let forecaster = SharedForecaster::new(fx.var.clone());
-
-    // Resident footprint, measured by the counting allocator: N private
-    // copies of the trace vs N claims on one resident object.
-    let naive_source_bytes = {
-        let before = thread_bytes();
-        let copies: Vec<SourceSpec> = (0..sessions)
-            .map(|_| SourceSpec::Replayed(Arc::new(dataset.commands.clone())))
-            .collect();
-        let held = thread_bytes() - before;
-        drop(copies);
-        held
-    };
-    let store = Storage::new();
-    let stored_source_bytes = {
-        let before = thread_bytes();
-        let claims: Vec<SourceSpec> = (0..sessions)
-            .map(|_| SourceSpec::stored(&store, &dataset))
-            .collect();
-        let held = thread_bytes() - before;
-        drop(claims);
-        held
-    };
-    assert_eq!(
-        store.stats().traces.objects,
-        0,
-        "dropping the last claim must evict the trace"
-    );
-
-    // Donor fleet, built directly: each session opens on a clone of the
-    // fleet's one claim, advances to a per-session checkpoint tick, and
-    // exports its fleet part. Direct construction keeps the checkpoint
-    // deterministic — a live unpaced pool races a lightly-loaded fleet
-    // through a whole trace in under a millisecond, so service-side bulk
-    // snapshots of scripted sessions are inherently racy against
-    // completion. (`snapshot_fleet` itself is pinned by service-level
-    // tests on streamed sessions, which park instead of completing.)
-    let fleet_claim = store.insert_trace(&dataset.commands);
-    let snap_span = (trace_commands / 2).max(1) as u64;
-    let spec_for = |id: u64| {
-        SessionSpec::new(
-            id,
-            SourceSpec::Stored(fleet_claim.clone()),
-            ChannelSpec::ControlledLoss {
-                burst_len: 6,
-                burst_prob: 0.01,
-                seed: 40_000 + id,
-            },
-            RecoverySpec::FoReCo {
-                forecaster: forecaster.clone(),
-                config: RecoveryConfig::for_model(&fx.model),
-            },
-        )
-    };
-    let ids: Vec<u64> = (0..sessions).collect();
-    let mut parts = Vec::with_capacity(ids.len());
-    let mut donor_fleet: Vec<(u64, Session)> = Vec::with_capacity(ids.len());
-    for &id in &ids {
-        let mut session = Session::open(&spec_for(id), &fx.model);
-        // Spread checkpoint ticks across the first half of the trace so
-        // the archive holds sessions at many distinct depths.
-        for _ in 0..(id * 97 + 13) % snap_span {
-            session.advance();
-        }
-        let part = session.snapshot_for_fleet().expect("fleet part");
-        parts.push(part);
-        donor_fleet.push((id, session));
-    }
-    let archive = foreco_serve::FleetArchive::build(parts);
-    assert_eq!(
-        archive.len(),
-        sessions as usize,
-        "every session must land in the archive"
-    );
-    assert_eq!(archive.traces().len(), 1, "one shared trace, stored once");
-
-    // Checkpoint cost: the archive vs the same snapshots self-contained.
-    let dedup_archive_bytes = archive.to_bytes().len() as u64;
-    let inline_archive_bytes: u64 = archive
-        .sessions()
-        .expect("archive frames decode")
-        .iter()
-        .map(|snap| {
-            snap.materialized(&archive.traces()[0].commands)
-                .expect("rehydrate inline")
-                .to_bytes()
-                .len() as u64
-        })
-        .sum();
-
-    // Donors run out; their reports are the bit-identity reference.
-    let mut donors: HashMap<u64, foreco_serve::SessionReport> = HashMap::new();
-    for (id, mut session) in donor_fleet {
-        let report = loop {
-            if let Advance::Completed(report) = session.advance() {
-                break *report;
-            }
-        };
-        donors.insert(id, report);
-    }
-
-    // Revival: a fresh service and a fresh store adopt the archive; the
-    // trace table is filed once and every session claims it.
-    let config = ServiceConfig {
-        shards: 4,
-        control_capacity: 4096,
-        // Headroom for every Restored/Completed so adoption never
-        // deadlocks on a full event buffer.
-        event_capacity: sessions as usize * 4 + 1024,
-        ..Default::default()
-    };
-    let revived = Service::spawn(config);
-    let store_b = Storage::new();
-    let sent = revived
-        .handle()
-        .adopt_fleet(archive, &store_b)
-        .expect("adopt fleet");
-    assert_eq!(sent as u64, sessions, "every archived session adopted");
-    assert_eq!(store_b.stats().traces.objects, 1);
-    let mut adopted: HashMap<u64, foreco_serve::SessionReport> = HashMap::new();
-    while adopted.len() < sessions as usize {
-        match revived.next_event().expect("revived service alive") {
-            SessionEvent::Completed { id, report } => {
-                adopted.insert(id, report);
-            }
-            SessionEvent::RestoreFailed { id, reason } => {
-                panic!("session {id} failed to restore from the archive: {reason}")
-            }
-            _ => {}
-        }
-    }
-    revived.join();
-
-    let restored_bit_identical = ids.iter().all(|id| {
-        let (a, b) = (&donors[id], &adopted[id]);
-        a.ticks == b.ticks
-            && a.misses == b.misses
-            && a.rmse_mm.to_bits() == b.rmse_mm.to_bits()
-            && a.max_deviation_mm.to_bits() == b.max_deviation_mm.to_bits()
-    });
-
-    let per = |total: i64| total as f64 / sessions as f64;
-    BytesRow {
-        sessions,
-        trace_commands,
-        naive_source_bytes,
-        stored_source_bytes,
-        naive_source_bytes_per_session: per(naive_source_bytes),
-        stored_source_bytes_per_session: per(stored_source_bytes),
-        resident_reduction: naive_source_bytes as f64 / stored_source_bytes.max(1) as f64,
-        inline_archive_bytes,
-        dedup_archive_bytes,
-        inline_archive_bytes_per_session: per(inline_archive_bytes as i64),
-        dedup_archive_bytes_per_session: per(dedup_archive_bytes as i64),
-        archive_reduction: inline_archive_bytes as f64 / dedup_archive_bytes.max(1) as f64,
-        restored_bit_identical,
-    }
-}
-
-/// The snapshot-churn scenario: mid-run FoReCo donors (full forecaster
-/// history, PID state, pre-drawn fates) pushed through encode+decode
-/// round-trips on both live codecs. The JSON path is exactly what a v2
-/// control plane did per `Snapshot`/`Adopt` (`to_json_bytes` +
-/// `from_bytes`); the binary path is what a shard does per fleet part
-/// (`encode_into` a reused scratch + `from_bytes`). Same donors, same
-/// rounds — the ratios are honest whichever way they land.
-fn snapshot_churn_run(fx: &Fixture, sessions: u64, rounds: usize) -> SnapshotChurnRow {
-    let dataset = Dataset::record(Skill::Inexperienced, 1, 0.02, 8);
-    let forecaster = SharedForecaster::new(fx.var.clone());
-    let replay = Arc::new(dataset.commands.clone());
-    let snap_at = (dataset.commands.len() / 2).max(1) as u64;
-    let donors: Vec<SessionSnapshot> = (0..sessions)
-        .map(|id| {
-            let spec = SessionSpec::new(
-                id,
-                SourceSpec::Replayed(Arc::clone(&replay)),
-                ChannelSpec::ControlledLoss {
-                    burst_len: 6,
-                    burst_prob: 0.01,
-                    seed: 40_000 + id,
-                },
-                RecoverySpec::FoReCo {
-                    forecaster: forecaster.clone(),
-                    config: RecoveryConfig::for_model(&fx.model),
-                },
-            );
-            let mut session = Session::open(&spec, &fx.model);
-            while session.tick() < snap_at {
-                assert!(matches!(session.advance(), Advance::Ticked(_)));
-            }
-            session.snapshot().expect("churn donor snapshotable")
-        })
-        .collect();
-
-    // Correctness outside the timed loops: the binary round-trip must
-    // reproduce every donor exactly (struct equality pins every bit).
-    let decode_exact = donors
-        .iter()
-        .all(|donor| SessionSnapshot::from_bytes(&donor.to_bytes()).as_ref() == Ok(donor));
-
-    let mut json_bytes = 0u64;
-    let started = Instant::now();
-    for _ in 0..rounds {
-        for donor in &donors {
-            let bytes = donor.to_json_bytes();
-            json_bytes += bytes.len() as u64;
-            let back = SessionSnapshot::from_bytes(&bytes).expect("JSON v2 decodes");
-            std::hint::black_box(back);
-        }
-    }
-    let json_wall_s = started.elapsed().as_secs_f64();
-
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut binary_bytes = 0u64;
-    let started = Instant::now();
-    for _ in 0..rounds {
-        for donor in &donors {
-            scratch.clear();
-            donor.encode_into(&mut scratch);
-            binary_bytes += scratch.len() as u64;
-            let back = SessionSnapshot::from_bytes(&scratch).expect("binary v3 decodes");
-            std::hint::black_box(back);
-        }
-    }
-    let binary_wall_s = started.elapsed().as_secs_f64();
-
-    let total = sessions as f64 * rounds as f64;
-    let json_sessions_per_sec = total / json_wall_s.max(1e-12);
-    let binary_sessions_per_sec = total / binary_wall_s.max(1e-12);
-    let json_bytes_per_session = json_bytes as f64 / total;
-    let binary_bytes_per_session = binary_bytes as f64 / total;
-    SnapshotChurnRow {
-        sessions,
-        rounds,
-        json_wall_s,
-        json_sessions_per_sec,
-        json_bytes_per_session,
-        binary_wall_s,
-        binary_sessions_per_sec,
-        binary_bytes_per_session,
-        codec_speedup: binary_sessions_per_sec / json_sessions_per_sec.max(1e-12),
-        bytes_reduction: json_bytes_per_session / binary_bytes_per_session.max(1e-12),
-        decode_exact,
-    }
-}
-
 fn main() {
+    // Every knob is read before anything runs, so a typo fails fast.
     // env_knob rejects zero, which would otherwise leave summary()
     // with an empty registry (and this bench with nothing to report).
     let sessions = env_knob("FORECO_SERVE_SESSIONS", 1024) as u64;
     let cycles = env_knob("FORECO_SERVE_CYCLES", 1);
-    let mut shard_counts: Vec<usize> = std::env::var("FORECO_SERVE_SHARDS")
-        .unwrap_or_else(|_| "1,2,4,8".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .collect();
-    if shard_counts.is_empty() {
-        eprintln!("FORECO_SERVE_SHARDS parsed to nothing; using 1,2,4,8");
-        shard_counts = vec![1, 2, 4, 8];
-    }
+    let shard_counts = env_list_knob("FORECO_SERVE_SHARDS", &[1, 2, 4, 8]);
+    let sweep_widths = env_list_knob(
+        "FORECO_SERVE_SWEEP_WIDTHS",
+        &[1, 2, 4, 7, 8, 9, 16, 32, 64, 128, 256, 512, 1024],
+    );
+    let sweep_ticks = env_knob("FORECO_SERVE_SWEEP_TICKS", 16_384);
+    let idle_sessions = env_knob("FORECO_SERVE_IDLE_SESSIONS", 4096) as u64;
+    let active_pct = env_knob("FORECO_SERVE_IDLE_ACTIVE_PCT", 2) as u64;
+    let idle_rounds = env_knob("FORECO_SERVE_IDLE_ROUNDS", 400);
+    let soak_sessions = env_knob("FORECO_SERVE_SOAK_SESSIONS", 10_000) as u64;
+    let soak_ticks = env_knob("FORECO_SERVE_SOAK_TICKS", 32);
+    let gate = |name: &str| -> Option<f64> {
+        let raw = std::env::var(name).ok()?;
+        Some(raw.trim().parse().unwrap_or_else(|_| {
+            eprintln!("error: {name}={raw:?}: expected a number");
+            std::process::exit(2)
+        }))
+    };
+    // Optional CI gates. The ratio verdict is deferred to the end of
+    // main: a breach must not discard the BENCH_serve.json artifact
+    // needed to debug it.
+    let ratio_budget = gate("FORECO_ENGINE_TICKS_RATIO");
+    let wakeup_budget = gate("FORECO_SERVE_WAKEUP_BUDGET");
     let out_path =
         std::env::var("FORECO_SERVE_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
 
@@ -1331,17 +727,6 @@ fn main() {
         });
     }
 
-    // Optional CI gate: the single-shard throughput, normalised by the
-    // frozen calibration kernel measured in this same process on this
-    // same container, must not regress below the committed baseline
-    // ratio × 0.9. Parsed up front so a typo fails fast, but the
-    // verdict is deferred to the end of main — a breach must not
-    // discard the engine_hot_path diagnostics (ns/tick, allocs/tick)
-    // or the BENCH_serve.json artifact needed to debug it.
-    let ratio_budget: Option<f64> = std::env::var("FORECO_ENGINE_TICKS_RATIO")
-        .ok()
-        .map(|v| v.parse().expect("FORECO_ENGINE_TICKS_RATIO: number"));
-
     // ---- calibration: the frozen container-speed denominator ----
     let calibration = calibration_run(20_000_000);
     let one_shard_rate = rows
@@ -1355,94 +740,7 @@ fn main() {
         calibration.iterations_per_sec, calibration.wall_s, engine_vs_calibration_ratio
     );
 
-    // ---- engine hot path: one session's steady-state tick profile ----
-    let hotpath_ticks = env_knob("FORECO_SERVE_HOTPATH_TICKS", 200_000) as u64;
-    println!("\nengine hot path: ~{hotpath_ticks} measured steady-state ticks per forecaster");
-    println!(
-        "{:>10} {:>10} {:>10} {:>12} {:>12} {:>12}",
-        "forecaster", "ticks", "miss frac", "ns/tick", "ticks/s", "allocs/tick"
-    );
-    let hot_replay = Arc::new(Dataset::record(Skill::Inexperienced, 8, 0.02, 23).commands);
-    let mut engine_hot_path = Vec::new();
-    for (name, shared) in [
-        ("VAR", forecaster.clone()),
-        (
-            "MA",
-            SharedForecaster::new(MovingAverage::new(5, fx.model.dof())),
-        ),
-    ] {
-        let row = engine_hot_path_run(name, shared, &fx, &hot_replay, hotpath_ticks);
-        println!(
-            "{:>10} {:>10} {:>10.4} {:>12.1} {:>12.0} {:>12.4}",
-            row.forecaster,
-            row.ticks,
-            row.miss_fraction,
-            row.ns_per_tick,
-            row.ticks_per_sec,
-            row.allocs_per_tick
-        );
-        engine_hot_path.push(row);
-    }
-
-    // ---- batched scenario: adaptive-plan lanes vs per-session dispatch ----
-    let batch_sessions = env_knob("FORECO_SERVE_BATCH_SESSIONS", 256);
-    let batch_rounds = env_knob("FORECO_SERVE_BATCH_ROUNDS", 400);
-    let dof = fx.model.dof();
-    let families: Vec<(&str, SharedForecaster)> = vec![
-        ("VAR", forecaster.clone()),
-        (
-            "Kalman-CV",
-            SharedForecaster::new(KalmanCv::default_teleop(7, dof)),
-        ),
-        ("MA", SharedForecaster::new(MovingAverage::new(5, dof))),
-        ("Holt", SharedForecaster::new(Holt::default_teleop(7, dof))),
-    ];
-    println!(
-        "\nbatched: {batch_sessions}-engine lanes × {batch_rounds} miss rounds, \
-         scalar dispatch vs the adaptive plan's layout"
-    );
-    println!(
-        "{:>10} {:>12} {:>10} {:>14} {:>14} {:>9} {:>14}",
-        "forecaster", "layout", "ticks", "scalar ns/t", "batched ns/t", "speedup", "bit-identical"
-    );
-    let mut batched = Vec::new();
-    for (name, shared) in &families {
-        let row = batched_run(
-            name,
-            shared.clone(),
-            &fx,
-            &hot_replay,
-            batch_sessions,
-            batch_rounds,
-        );
-        println!(
-            "{:>10} {:>12} {:>10} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
-            row.forecaster,
-            row.layout,
-            row.ticks,
-            row.scalar_ns_per_tick,
-            row.batched_ns_per_tick,
-            row.batched_speedup_vs_scalar,
-            row.bit_identical
-        );
-        if !row.bit_identical {
-            eprintln!(
-                "FAIL: batched {} lane diverged from the scalar path",
-                row.forecaster
-            );
-            std::process::exit(1);
-        }
-        batched.push(row);
-    }
-
     // ---- lane_sweep: layout speedup vs width, the threshold evidence ----
-    let sweep_widths: Vec<usize> = std::env::var("FORECO_SERVE_SWEEP_WIDTHS")
-        .unwrap_or_else(|_| "1,2,4,7,8,9,16,32,64,128,256,512,1024".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .collect();
-    let sweep_ticks = env_knob("FORECO_SERVE_SWEEP_TICKS", 16_384);
     println!(
         "\nlane_sweep: slot-major vs scalar across widths \
          {sweep_widths:?} (~{sweep_ticks} miss ticks per cell)"
@@ -1451,18 +749,23 @@ fn main() {
         "{:>10} {:>7} {:>12} {:>14} {:>14} {:>9} {:>14}",
         "forecaster", "width", "chosen", "scalar ns/t", "slot ns/t", "speedup", "bit-identical"
     );
-    let mut lane_sweep = Vec::new();
     // Only the expensive families have a slot-major kernel to sweep;
-    // the cheap ones are covered by the batched rows above (their plan
-    // is Scalar at every width, so a sweep would re-measure noise).
-    for (name, shared) in families
-        .iter()
-        .filter(|(_, s)| foreco_forecast::Forecaster::cost_class(s) == CostClass::Expensive)
-    {
+    // the planner never gathers the cheap ones (their plan is Scalar at
+    // every width).
+    let sweep_replay = Dataset::record(Skill::Inexperienced, 8, 0.02, 23).commands;
+    let families = [
+        ("VAR", forecaster.clone()),
+        (
+            "Kalman-CV",
+            SharedForecaster::new(KalmanCv::default_teleop(7, fx.model.dof())),
+        ),
+    ];
+    let mut lane_sweep = Vec::new();
+    for (name, shared) in &families {
         for &width in &sweep_widths {
             // Every cell times ~sweep_ticks miss ticks, however narrow.
             let rounds = (sweep_ticks / width).max(8);
-            let row = lane_sweep_run(name, shared, &fx, &hot_replay, width, rounds);
+            let row = lane_sweep_run(name, shared, &fx, &sweep_replay, width, rounds);
             println!(
                 "{:>10} {:>7} {:>12} {:>14.1} {:>14.1} {:>8.2}x {:>14}",
                 row.forecaster,
@@ -1485,14 +788,11 @@ fn main() {
     }
 
     // ---- idle-heavy scenario: mostly-parked fleet, few hot sessions ----
-    let idle_sessions = env_knob("FORECO_SERVE_IDLE_SESSIONS", 4096) as u64;
-    let active_pct = env_knob("FORECO_SERVE_IDLE_ACTIVE_PCT", 2) as u64;
-    let rounds = env_knob("FORECO_SERVE_IDLE_ROUNDS", 400);
     let active = (idle_sessions * active_pct / 100).max(1);
     let idle_shards = *shard_counts.iter().max().expect("non-empty shard list");
     println!(
         "\nidle-heavy: {idle_sessions} streamed sessions, {active} active ({active_pct}%), \
-         {idle_shards} shards, {rounds} inject rounds"
+         {idle_shards} shards, {idle_rounds} inject rounds"
     );
     println!(
         "{:>12} {:>10} {:>12} {:>16} {:>15} {:>11}",
@@ -1503,8 +803,8 @@ fn main() {
         // The eager sweep pays O(total sessions) per pass; a tenth of
         // the rounds is plenty to pin its (structural) wakeup rate.
         let sched_rounds = match scheduler {
-            Scheduler::EventDriven => rounds,
-            Scheduler::Eager => (rounds / 10).max(20),
+            Scheduler::EventDriven => idle_rounds,
+            Scheduler::Eager => (idle_rounds / 10).max(20),
         };
         let row = idle_heavy_run(
             scheduler,
@@ -1529,8 +829,7 @@ fn main() {
 
     // Optional CI gate: idle-heavy wakeups/tick must track the active
     // population, not the fleet size.
-    if let Ok(budget) = std::env::var("FORECO_SERVE_WAKEUP_BUDGET") {
-        let budget: f64 = budget.parse().expect("FORECO_SERVE_WAKEUP_BUDGET: number");
+    if let Some(budget) = wakeup_budget {
         let event_row = &idle_heavy[0];
         assert_eq!(event_row.scheduler, "EventDriven");
         if event_row.wakeups_per_tick > budget {
@@ -1547,33 +846,7 @@ fn main() {
         );
     }
 
-    // ---- ingress scenario: the wire pipeline, loopback vs UDP ----
-    let ingress_sessions = env_knob("FORECO_SERVE_INGRESS_SESSIONS", 16) as u64;
-    let ingress_frames = env_knob("FORECO_SERVE_INGRESS_FRAMES", 1000);
-    let ingress_trace = Dataset::record(Skill::Inexperienced, 4, 0.02, 91)
-        .head(ingress_frames)
-        .commands;
-    println!(
-        "\ningress: {ingress_sessions} sessions × {} datagrams through the foreco-net gateway",
-        ingress_trace.len()
-    );
-    println!(
-        "{:>10} {:>10} {:>14} {:>12} {:>8}",
-        "transport", "wall [s]", "datagrams/s", "delivered", "lost"
-    );
-    let mut ingress = Vec::new();
-    for transport in ["loopback", "udp"] {
-        let row = ingress_run(transport, idle_shards, ingress_sessions, &ingress_trace);
-        println!(
-            "{:>10} {:>10.3} {:>14.0} {:>12} {:>8}",
-            row.transport, row.wall_s, row.datagrams_per_sec, row.delivered, row.lost
-        );
-        ingress.push(row);
-    }
-
     // ---- fleet soak: observability plane under open/close churn ----
-    let soak_sessions = env_knob("FORECO_SERVE_SOAK_SESSIONS", 10_000) as u64;
-    let soak_ticks = env_knob("FORECO_SERVE_SOAK_TICKS", 32);
     println!(
         "\nfleet-soak: {soak_sessions} sessions × {soak_ticks} ticks churned over \
          {idle_shards} shards with live scrapes and a fleet-event subscriber"
@@ -1599,73 +872,6 @@ fn main() {
         "every soak session must run its full trace"
     );
 
-    // ---- shared-storage dedup: resident + checkpoint bytes/session ----
-    let dedup_sessions = env_knob("FORECO_SERVE_DEDUP_SESSIONS", 1024) as u64;
-    let dedup_cycles = env_knob("FORECO_SERVE_DEDUP_CYCLES", 4);
-    println!(
-        "\nbytes/session: {dedup_sessions} store-backed sessions sharing one \
-         {dedup_cycles}-cycle trace"
-    );
-    let bytes_row = bytes_per_session_run(&fx, dedup_sessions, dedup_cycles);
-    println!(
-        "{:>24} {:>16} {:>16} {:>10}",
-        "", "naive", "dedup", "reduction"
-    );
-    println!(
-        "{:>24} {:>16.0} {:>16.0} {:>9.1}x",
-        "resident source B/sess",
-        bytes_row.naive_source_bytes_per_session,
-        bytes_row.stored_source_bytes_per_session,
-        bytes_row.resident_reduction
-    );
-    println!(
-        "{:>24} {:>16.0} {:>16.0} {:>9.1}x",
-        "archive B/sess",
-        bytes_row.inline_archive_bytes_per_session,
-        bytes_row.dedup_archive_bytes_per_session,
-        bytes_row.archive_reduction
-    );
-    println!(
-        "restored bit-identical to donors: {}",
-        bytes_row.restored_bit_identical
-    );
-    if !bytes_row.restored_bit_identical {
-        eprintln!("FAIL: archive-adopted sessions diverged from their donors");
-        std::process::exit(1);
-    }
-
-    // ---- snapshot churn: JSON-v2 vs binary-v3 codec throughput ----
-    let churn_sessions = env_knob("FORECO_SERVE_CHURN_SESSIONS", 64) as u64;
-    let churn_rounds = env_knob("FORECO_SERVE_CHURN_ROUNDS", 8);
-    println!(
-        "\nsnapshot-churn: {churn_sessions} mid-run donors × {churn_rounds} \
-         encode+decode rounds per codec"
-    );
-    let churn = snapshot_churn_run(&fx, churn_sessions, churn_rounds);
-    println!(
-        "{:>10} {:>14} {:>14} {:>10}",
-        "codec", "sessions/s", "bytes/sess", "wall [s]"
-    );
-    println!(
-        "{:>10} {:>14.0} {:>14.0} {:>10.3}",
-        "json-v2", churn.json_sessions_per_sec, churn.json_bytes_per_session, churn.json_wall_s
-    );
-    println!(
-        "{:>10} {:>14.0} {:>14.0} {:>10.3}",
-        "binary-v3",
-        churn.binary_sessions_per_sec,
-        churn.binary_bytes_per_session,
-        churn.binary_wall_s
-    );
-    println!(
-        "codec speedup {:.1}x, bytes reduction {:.1}x, decode exact: {}",
-        churn.codec_speedup, churn.bytes_reduction, churn.decode_exact
-    );
-    if !churn.decode_exact {
-        eprintln!("FAIL: a binary snapshot round-trip did not reproduce its donor");
-        std::process::exit(1);
-    }
-
     let output = Output {
         bench: "serve_throughput".to_string(),
         sessions,
@@ -1676,14 +882,9 @@ fn main() {
         calibration,
         engine_vs_calibration_ratio,
         rows,
-        engine_hot_path,
-        batched,
         lane_sweep,
         idle_heavy,
-        ingress,
         fleet_soak,
-        bytes_per_session: bytes_row,
-        snapshot_churn: churn,
     };
     let json = serde_json::to_string_pretty(&output).expect("serialise bench output");
     std::fs::write(&out_path, &json).expect("write bench output");
@@ -1704,8 +905,10 @@ fn main() {
             eprintln!(
                 "FAIL: engine/calibration ratio {:.4} below budget {budget} — \
                  the engine hot path regressed relative to this container's \
-                 f64 speed (see the engine_hot_path rows in {out_path} for \
-                 ns/tick and allocs/tick)",
+                 f64 speed (for ns/tick and allocs/tick per layer, run \
+                 `cargo run --release --manifest-path perfbench/Cargo.toml -- \
+                 --workload burst_fleet --seed 1 --seconds 10 --trace 1` and read \
+                 session.advance_ns, recovery.miss_ns and session.allocs_per_tick)",
                 output.engine_vs_calibration_ratio
             );
             std::process::exit(1);

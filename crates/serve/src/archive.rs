@@ -8,9 +8,9 @@
 //! per-session snapshots reference it through
 //! [`SourceState::ScriptedRef`](crate::SourceState::ScriptedRef) — so
 //! the archive is O(traces + sessions) and a thousand-session
-//! checkpoint costs about as much as one. The `bytes_per_session`
-//! scenario in `serve_throughput` measures the ratio into
-//! `BENCH_serve.json`.
+//! checkpoint costs about as much as one. The `perfbench` benchmark
+//! reports the archive's `archive_bytes_per_session`, and its
+//! `--trace 1` ledger the standby store's `store.resident_bytes`.
 //!
 //! # Streaming assembly (v2)
 //!
