@@ -25,14 +25,17 @@
 //! observability plane exercised *during* churn, with scrape latency
 //! percentiles and event delivery/drop counts recorded.
 //!
-//! The **calibration** scenario runs a frozen pure-f64 arithmetic
-//! kernel (see [`calibration_run`]) and reports its iterations/sec —
-//! a measure of *this* container's scalar f64 speed, taken in the same
-//! process as every other scenario. Dividing engine throughput by it
-//! yields a dimensionless ratio that is comparable across machines,
-//! which is what the CI perf gate asserts (`FORECO_ENGINE_TICKS_RATIO`)
-//! instead of an absolute ticks/s constant that only reproduces on the
-//! container it was recorded on.
+//! The **calibration** kernel is frozen pure-f64 arithmetic (see
+//! [`calibration_run`]); its iterations/sec measure *this* container's
+//! scalar f64 speed. Dividing 1-shard engine throughput by it yields a
+//! dimensionless ratio that is comparable across machines, which is
+//! what the CI perf gate asserts (`FORECO_ENGINE_TICKS_RATIO`) instead
+//! of an absolute ticks/s constant that only reproduces on the
+//! container it was recorded on. One process's ratio is noisy, so the
+//! gated number is the median over [`RATIO_PROBES`] fresh child
+//! processes (this binary re-executed with `--ratio-probe`), each
+//! timing one 1-shard fleet run and then the kernel; `ratio_probes` in
+//! the output records every child's ratio and their spread.
 //!
 //! The **lane_sweep** scenario validates the slot-major threshold of
 //! the adaptive plan ([`foreco_forecast::plan_layout`]): for each
@@ -50,10 +53,10 @@
 //! `FORECO_SERVE_IDLE_ROUNDS` (hot-session inject rounds, default 400),
 //! `FORECO_SERVE_WAKEUP_BUDGET` (optional hard ceiling on idle-heavy
 //! event-mode wakeups/tick; breach exits non-zero),
-//! `FORECO_ENGINE_TICKS_RATIO` (optional hard floor on 1-shard
-//! `ticks_per_sec` ÷ calibration iterations/sec; shortfall exits
-//! non-zero — the CI regression gate, set to committed-baseline-ratio
-//! × 0.9; recalibration rule in ROADMAP),
+//! `FORECO_ENGINE_TICKS_RATIO` (optional hard floor on the median
+//! probe's 1-shard `ticks_per_sec` ÷ calibration iterations/sec;
+//! shortfall exits non-zero — the CI regression gate, set to
+//! committed-baseline-ratio × 0.9; recalibration rule in ROADMAP),
 //! `FORECO_SERVE_SWEEP_WIDTHS` (lane_sweep width list, default
 //! `1,2,4,7,8,9,16,32,64,128,256,512,1024`),
 //! `FORECO_SERVE_SWEEP_TICKS` (target miss ticks per lane_sweep cell,
@@ -68,12 +71,22 @@ use foreco_core::RecoveryConfig;
 use foreco_forecast::{KalmanCv, LaneLayout};
 use foreco_serve::{
     BalancerConfig, ChannelSpec, EventWait, RecoverySpec, Scheduler, Service, ServiceConfig,
-    SessionSpec, SharedForecaster, SourceSpec,
+    ServiceSummary, SessionSpec, SharedForecaster, SourceSpec,
 };
 use foreco_teleop::{Dataset, Skill};
 use serde::Serialize;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Fresh processes that each re-measure the engine/calibration pair.
+const RATIO_PROBES: usize = 5;
+
+/// Argument that turns this binary into one ratio probe.
+const RATIO_PROBE_ARG: &str = "--ratio-probe";
+
+/// Iterations of the frozen calibration kernel per measurement.
+const CALIBRATION_ITERATIONS: u64 = 20_000_000;
 
 #[derive(Serialize)]
 struct Row {
@@ -146,6 +159,26 @@ struct CalibrationRow {
     iterations_per_sec: f64,
 }
 
+/// One child process's engine/calibration pair.
+#[derive(Serialize)]
+struct RatioProbe {
+    /// 1-shard fleet session-ticks per second, the process's one run.
+    ticks_per_sec: f64,
+    /// Calibration kernel iterations per second, measured right after.
+    calibration_iterations_per_sec: f64,
+    ratio: f64,
+}
+
+#[derive(Serialize)]
+struct RatioProbes {
+    probes: Vec<RatioProbe>,
+    median: f64,
+    min: f64,
+    max: f64,
+    /// `(max − min) / median`.
+    spread: f64,
+}
+
 #[derive(Serialize)]
 struct LaneSweepRow {
     forecaster: String,
@@ -177,10 +210,11 @@ struct Output {
     /// The shard counts the scaling sweep ran (`rows` has one entry
     /// per count).
     shard_counts: Vec<usize>,
-    calibration: CalibrationRow,
-    /// 1-shard `ticks_per_sec` ÷ calibration iterations/sec — the
-    /// dimensionless number the CI gate bounds.
+    /// Median over the ratio probes of 1-shard `ticks_per_sec` ÷
+    /// calibration iterations/sec — the dimensionless number the CI
+    /// gate bounds.
     engine_vs_calibration_ratio: f64,
+    ratio_probes: RatioProbes,
     rows: Vec<Row>,
     lane_sweep: Vec<LaneSweepRow>,
     idle_heavy: Vec<IdleRow>,
@@ -195,7 +229,7 @@ struct Output {
 /// the CI perf gate.
 ///
 /// **FROZEN — never modify this function.** Any change to the
-/// arithmetic (or the iteration count passed by `main`) silently
+/// arithmetic (or [`CALIBRATION_ITERATIONS`]) silently
 /// rescales every recorded ratio; the gate must then be recalibrated
 /// (see ROADMAP "CI perf gates").
 fn calibration_run(iterations: u64) -> CalibrationRow {
@@ -220,6 +254,107 @@ fn calibration_run(iterations: u64) -> CalibrationRow {
         iterations,
         wall_s,
         iterations_per_sec: iterations as f64 / wall_s,
+    }
+}
+
+/// The measured fleet: `sessions` replays of one trace under Fig. 9
+/// burst loss, each recovered by the shared forecaster.
+fn fleet_specs(
+    sessions: u64,
+    replay: &Arc<Vec<Vec<f64>>>,
+    forecaster: &SharedForecaster,
+    fx: &Fixture,
+) -> Vec<SessionSpec> {
+    (0..sessions)
+        .map(|id| {
+            SessionSpec::new(
+                id,
+                SourceSpec::Replayed(Arc::clone(replay)),
+                ChannelSpec::ControlledLoss {
+                    burst_len: 6,
+                    burst_prob: 0.01,
+                    seed: 40_000 + id,
+                },
+                RecoverySpec::FoReCo {
+                    forecaster: forecaster.clone(),
+                    config: RecoveryConfig::for_model(&fx.model),
+                },
+            )
+        })
+        .collect()
+}
+
+/// Runs the fleet to completion on `shards` shards: its summary and
+/// wall seconds.
+fn run_fleet(shards: usize, specs: Vec<SessionSpec>) -> (ServiceSummary, f64) {
+    let service = Service::spawn(ServiceConfig::with_shards(shards));
+    let started = Instant::now();
+    let registry = service.run_to_completion(specs);
+    let wall_s = started.elapsed().as_secs_f64();
+    (registry.summary().expect("sessions completed"), wall_s)
+}
+
+/// The child side of a ratio probe: time one 1-shard fleet run, then
+/// the calibration kernel, in this fresh process, and print both rates
+/// on one line for the parent to parse.
+fn ratio_probe_child() {
+    let sessions = env_knob("FORECO_SERVE_SESSIONS", 1024) as u64;
+    let cycles = env_knob("FORECO_SERVE_CYCLES", 1);
+    let fx = Fixture::build();
+    let forecaster = SharedForecaster::new(fx.var.clone());
+    let replay = Arc::new(Dataset::record(Skill::Inexperienced, cycles, 0.02, 8).commands);
+    let (summary, wall_s) = run_fleet(1, fleet_specs(sessions, &replay, &forecaster, &fx));
+    let ticks_per_sec = summary.total_ticks as f64 / wall_s;
+    let calibration = calibration_run(CALIBRATION_ITERATIONS);
+    println!(
+        "{RATIO_PROBE_ARG} {ticks_per_sec} {}",
+        calibration.iterations_per_sec
+    );
+}
+
+/// Runs [`RATIO_PROBES`] ratio probes one after another, each in a
+/// fresh child process (this binary re-executed with the same
+/// environment), and summarises their ratios.
+fn ratio_probes() -> RatioProbes {
+    let exe = std::env::current_exe().expect("locate the running binary");
+    let probes: Vec<RatioProbe> = (0..RATIO_PROBES)
+        .map(|i| {
+            let out = Command::new(&exe)
+                .arg(RATIO_PROBE_ARG)
+                .stderr(Stdio::inherit())
+                .output()
+                .expect("spawn ratio probe");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let rates: Vec<f64> = stdout
+                .lines()
+                .find_map(|line| line.strip_prefix(RATIO_PROBE_ARG))
+                .map(|rest| {
+                    rest.split_whitespace()
+                        .filter_map(|v| v.parse().ok())
+                        .collect()
+                })
+                .unwrap_or_default();
+            let [ticks_per_sec, calibration_iterations_per_sec] = rates[..] else {
+                eprintln!("error: ratio probe {i} failed ({}): {stdout:?}", out.status);
+                std::process::exit(1)
+            };
+            RatioProbe {
+                ticks_per_sec,
+                calibration_iterations_per_sec,
+                ratio: ticks_per_sec / calibration_iterations_per_sec,
+            }
+        })
+        .collect();
+    let mut ratios: Vec<f64> = probes.iter().map(|p| p.ratio).collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    let (min, max) = (ratios[0], ratios[ratios.len() - 1]);
+    RatioProbes {
+        probes,
+        median,
+        min,
+        max,
+        spread: (max - min) / median,
     }
 }
 
@@ -617,6 +752,10 @@ fn fleet_soak_run(shards: usize, sessions: u64, ticks: usize) -> FleetSoakRow {
 }
 
 fn main() {
+    if std::env::args().nth(1).as_deref() == Some(RATIO_PROBE_ARG) {
+        ratio_probe_child();
+        return;
+    }
     // Every knob is read before anything runs, so a typo fails fast.
     // env_knob rejects zero, which would otherwise leave summary()
     // with an empty registry (and this bench with nothing to report).
@@ -671,34 +810,10 @@ fn main() {
         "shards", "ticks", "wall [s]", "ticks/s", "speedup", "p50 [mm]", "p99 [mm]"
     );
 
-    let specs = |n: u64| -> Vec<SessionSpec> {
-        (0..n)
-            .map(|id| {
-                SessionSpec::new(
-                    id,
-                    SourceSpec::Replayed(Arc::clone(&replay)),
-                    ChannelSpec::ControlledLoss {
-                        burst_len: 6,
-                        burst_prob: 0.01,
-                        seed: 40_000 + id,
-                    },
-                    RecoverySpec::FoReCo {
-                        forecaster: forecaster.clone(),
-                        config: RecoveryConfig::for_model(&fx.model),
-                    },
-                )
-            })
-            .collect()
-    };
-
     let mut rows: Vec<Row> = Vec::new();
     let mut base_rate = 0.0f64;
     for &shards in &shard_counts {
-        let service = Service::spawn(ServiceConfig::with_shards(shards));
-        let started = Instant::now();
-        let registry = service.run_to_completion(specs(sessions));
-        let wall_s = started.elapsed().as_secs_f64();
-        let summary = registry.summary().expect("sessions completed");
+        let (summary, wall_s) = run_fleet(shards, fleet_specs(sessions, &replay, &forecaster, &fx));
         let ticks_per_sec = summary.total_ticks as f64 / wall_s;
         if rows.is_empty() {
             base_rate = ticks_per_sec;
@@ -727,17 +842,19 @@ fn main() {
         });
     }
 
-    // ---- calibration: the frozen container-speed denominator ----
-    let calibration = calibration_run(20_000_000);
-    let one_shard_rate = rows
+    // ---- calibration: engine speed over the frozen kernel's ----
+    let ratio_probes = ratio_probes();
+    let engine_vs_calibration_ratio = ratio_probes.median;
+    let probe_ratios: Vec<String> = ratio_probes
+        .probes
         .iter()
-        .find(|r| r.shards == 1)
-        .map(|r| r.ticks_per_sec)
-        .unwrap_or(0.0);
-    let engine_vs_calibration_ratio = one_shard_rate / calibration.iterations_per_sec;
+        .map(|p| format!("{:.4}", p.ratio))
+        .collect();
     println!(
-        "\ncalibration: {:.0} kernel iters/s in {:.3} s — engine/calibration ratio {:.4}",
-        calibration.iterations_per_sec, calibration.wall_s, engine_vs_calibration_ratio
+        "\nengine/calibration ratio over {RATIO_PROBES} fresh processes: [{}] — \
+         median {engine_vs_calibration_ratio:.4}, spread {:.0}%",
+        probe_ratios.join(", "),
+        ratio_probes.spread * 100.0
     );
 
     // ---- lane_sweep: layout speedup vs width, the threshold evidence ----
@@ -879,8 +996,8 @@ fn main() {
         forecaster: forecaster.name().to_string(),
         available_parallelism,
         shard_counts: shard_counts.clone(),
-        calibration,
         engine_vs_calibration_ratio,
+        ratio_probes,
         rows,
         lane_sweep,
         idle_heavy,
@@ -894,16 +1011,14 @@ fn main() {
     // and the artifact is on disk, so a breach still leaves the full
     // diagnostic trail behind. The gate is dimensionless — engine
     // throughput over the frozen calibration kernel's speed, both
-    // measured in this process on this container — so it transfers
-    // across machines where an absolute ticks/s floor did not.
+    // measured in each probe process on this container — so it
+    // transfers across machines where an absolute ticks/s floor did
+    // not; the median over fresh processes keeps one slow process from
+    // flipping it.
     if let Some(budget) = ratio_budget {
-        assert!(
-            output.rows.iter().any(|r| r.shards == 1),
-            "FORECO_ENGINE_TICKS_RATIO needs a 1-shard row"
-        );
         if output.engine_vs_calibration_ratio < budget {
             eprintln!(
-                "FAIL: engine/calibration ratio {:.4} below budget {budget} — \
+                "FAIL: median engine/calibration ratio {:.4} below budget {budget} — \
                  the engine hot path regressed relative to this container's \
                  f64 speed (for ns/tick and allocs/tick per layer, run \
                  `cargo run --release --manifest-path perfbench/Cargo.toml -- \

@@ -819,6 +819,9 @@ pub(crate) fn decode_response(payload: &[u8]) -> Result<ControlResponse, NetErro
 }
 
 #[cfg(test)]
+mod codec_fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -10,7 +10,8 @@
 //!   datagram's source address;
 //! - the **TCP accept thread** spawns one handler thread per operator
 //!   connection, each speaking the length-prefixed control protocol
-//!   through the shared [`ControlCore`];
+//!   through the shared [`ControlCore`]. Control sockets are
+//!   `TCP_NODELAY` at both ends, so no verb waits on a delayed ACK;
 //! - the **event pump** owns the [`Service`] and its event stream,
 //!   routing `Completed`/`Snapshotted`/`Restored`/… to whichever
 //!   control request is waiting on them (via [`EventHub`]).
@@ -648,8 +649,10 @@ fn connection_loop(
     stop: &Arc<AtomicBool>,
     owned_subscriptions: &mut Vec<u64>,
 ) {
+    // No Nagle: a response must not wait on the client's delayed ACK.
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
+        .and_then(|()| stream.set_nodelay(true))
         .is_err()
     {
         return;

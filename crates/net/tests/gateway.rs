@@ -21,8 +21,9 @@
 
 use foreco_core::RecoveryConfig;
 use foreco_net::{
-    ClientConfig, ControlWire, DataWire, EventStream, FleetEvent, ForecoClient, Gateway,
-    GatewayConfig, IngressConfig, NetError, RejectCode, ReplayStats,
+    ClientConfig, ControlRequest, ControlResponse, ControlWire, DataWire, EventStream, FleetEvent,
+    ForecoClient, Gateway, GatewayConfig, IngressConfig, NetError, RejectCode, ReplayStats,
+    TcpControl,
 };
 use foreco_serve::{
     ChannelSpec, IngressSummary, MetricsRegistry, RecoverySpec, ServiceConfig, SessionReport,
@@ -435,6 +436,35 @@ fn rejections_carry_typed_codes() {
         other => panic!("expected a typed rejection, got {other:?}"),
     }
     gateway.shutdown();
+}
+
+/// A control verb over TCP answers at wire speed. A response whose
+/// payload sits behind Nagle's algorithm waits for the client's delayed
+/// ACK, a 40 ms floor per verb on Linux (two 20 ms command slots); the
+/// gateway's control sockets are `TCP_NODELAY`, so a round trip on
+/// localhost takes well under a millisecond.
+#[test]
+fn tcp_control_round_trips_do_not_wait_for_delayed_acks() {
+    let gateway = Gateway::spawn(ServiceConfig::with_shards(1), GatewayConfig::default())
+        .expect("spawn gateway");
+    let mut control = TcpControl::connect(gateway.tcp_addr()).expect("connect control");
+    let mut round_trips: Vec<Duration> = (0..32)
+        .map(|_| {
+            let start = Instant::now();
+            let response = control.request(&ControlRequest::Metrics).expect("metrics");
+            let elapsed = start.elapsed();
+            assert!(matches!(response, ControlResponse::Metrics { .. }));
+            elapsed
+        })
+        .collect();
+    gateway.shutdown();
+
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median TCP control round trip {median:?}; sorted: {round_trips:?}"
+    );
 }
 
 /// Splits one exposition body into `(samples, family → type)` while
